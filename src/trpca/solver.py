@@ -14,7 +14,11 @@ import numpy as np
 
 from .prox import soft_threshold_array, tsvt_array
 from .tensor3 import Tensor3
+from .tlinalg import spectral_norm
 from .transform import Transform
+
+ZERO_INPUT_MU0 = 1e-3
+"""Starting penalty for an all-zero input, which has no spectral scale."""
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -27,20 +31,32 @@ class NonFiniteIterateError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """ADMM schedule. ``lam=None`` selects ``1/sqrt(max(n1, n2) * ell)``."""
+    """ADMM schedule.
+
+    ``lam=None`` selects ``1/sqrt(max(n1, n2) * ell)``. ``mu0=None`` starts
+    the penalty at ``1.25 / spectral_norm(x, t)``, the data-scaled start of
+    the inexact ALM (``ZERO_INPUT_MU0`` for an all-zero input), capped at
+    ``mu_max``.
+    """
 
     lam: float | None = None
-    mu0: float = 1e-3
+    mu0: float | None = None
     rho: float = 1.1
     mu_max: float = 1e10
     tol: float = 1e-8
     max_iters: int = 500
 
     def __post_init__(self):
+        for name in ("lam", "mu0", "rho", "mu_max", "tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam is not None and self.lam <= 0:
             raise ValueError("lam must be positive (or None for auto)")
-        if self.mu0 <= 0 or self.mu_max <= 0 or self.mu0 > self.mu_max:
-            raise ValueError("need 0 < mu0 <= mu_max")
+        if self.mu_max <= 0:
+            raise ValueError("mu_max must be positive")
+        if self.mu0 is not None and not 0 < self.mu0 <= self.mu_max:
+            raise ValueError("mu0 must lie in (0, mu_max] (or be None for auto)")
         if self.rho < 1:
             raise ValueError("rho must be >= 1")
         if self.tol <= 0:
@@ -90,24 +106,38 @@ def solve(x: Tensor3, t: Transform, cfg: SolverConfig | None = None) -> TrpcaSol
     and stops when the largest of the two iterate changes and the primal
     residual (all in the entrywise max norm) drops to ``cfg.tol``, or after
     ``cfg.max_iters`` iterations (``converged=False``, not an error).
+
+    The T-SVT is warm-started: each call projects onto the right singular
+    subspace the previous call handed back (see ``prox.tsvt_array``), and
+    only the first iteration runs a full SVD of every slice. When the stop
+    test passes after a warm T-SVT, one exact T-SVT of the same argument
+    checks it. If the two differ by more than ``cfg.tol``, the exact call's
+    subspace replaces the basis and the iteration goes on, so
+    ``converged=True`` always marks a fixed point of the exact iteration.
     """
     if cfg is None:
         cfg = SolverConfig()
     if x.n3 != t.size:
         raise ValueError(f"tensor n3={x.n3} does not match transform size {t.size}")
     lam = cfg.lam if cfg.lam is not None else default_lambda(x.n1, x.n2, t)
+    if cfg.mu0 is not None:
+        mu = cfg.mu0
+    else:
+        scale = spectral_norm(x, t)
+        mu = min(1.25 / scale if scale > 0 else ZERO_INPUT_MU0, cfg.mu_max)
 
     data = x.data
     low = np.zeros_like(data)
     sparse = np.zeros_like(data)
     dual = np.zeros_like(data)
-    mu = cfg.mu0
+    basis = None
     trace: list[TraceRow] = []
     converged = False
     iteration = 0
 
     for iteration in range(1, cfg.max_iters + 1):
-        low_new, tnn = tsvt_array(data - sparse + dual / mu, 1.0 / mu, t)
+        arg = data - sparse + dual / mu
+        low_new, tnn, basis, exact = tsvt_array(arg, 1.0 / mu, t, basis)
         sparse_new = soft_threshold_array(data - low_new + dual / mu, lam / mu)
         if not (np.isfinite(low_new).all() and np.isfinite(sparse_new).all()):
             raise NonFiniteIterateError(iteration)
@@ -124,8 +154,13 @@ def solve(x: Tensor3, t: Transform, cfg: SolverConfig | None = None) -> TrpcaSol
 
         low, sparse = low_new, sparse_new
         if max(primal, dl, ds) <= cfg.tol:
-            converged = True
-            break
+            if exact:
+                converged = True
+                break
+            check, _, basis, _ = tsvt_array(arg, 1.0 / mu, t)
+            if float(np.abs(check - low_new).max()) <= cfg.tol:
+                converged = True
+                break
         mu = min(cfg.rho * mu, cfg.mu_max)
 
     return TrpcaSolution(

@@ -147,7 +147,12 @@ def read_tensor(path) -> Tensor3:
         head = f.read(len(MAGIC))
         if head != MAGIC:
             raise ValueError(f"{path}: not a tensor container (bad magic)")
-        n1, n2, n3 = struct.unpack("<3Q", f.read(24))
+        dims = f.read(24)
+        if len(dims) != 24:
+            raise ValueError(
+                f"{path}: truncated header ({len(dims)} bytes of dims, expected 24)"
+            )
+        n1, n2, n3 = struct.unpack("<3Q", dims)
         payload = f.read()
     expected = n1 * n2 * n3 * 8
     if len(payload) != expected:

@@ -108,10 +108,15 @@ def _singular_values(a: Tensor3, t: Transform) -> np.ndarray:
 
 
 def _rank_from_values(s: np.ndarray, tol: float) -> int:
-    """Count singular tubes above ``tol`` relative to the largest tube."""
-    tube_norms = np.linalg.norm(s, axis=0)
-    if tube_norms.size == 0:
+    """Count singular tubes above ``tol`` relative to the largest tube.
+
+    The values are divided by the largest one first, so the squares inside
+    the tube norms neither overflow nor underflow at extreme magnitudes.
+    """
+    peak = s.max() if s.size else 0.0
+    if peak == 0.0:
         return 0
+    tube_norms = np.linalg.norm(s / peak, axis=0)
     return int(np.count_nonzero(tube_norms > tol * tube_norms[0]))
 
 

@@ -177,7 +177,13 @@ def from_spec(spec: str, n3: int) -> Transform:
     if spec == "hadamard":
         return make_scaled_hadamard(n3)
     if spec.startswith("rom:"):
-        return make_random_orthogonal(n3, int(spec[len("rom:"):]))
+        try:
+            seed = int(spec[len("rom:"):])
+        except ValueError:
+            raise ValueError(
+                f"bad transform spec {spec!r} (expected rom:<seed>, an integer seed)"
+            ) from None
+        return make_random_orthogonal(n3, seed)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         mat = np.loadtxt(path, delimiter=",", ndmin=2)

@@ -67,6 +67,34 @@ class TestDispatch:
         )
         assert code == 2
 
+    def test_truncated_header_exits_2_naming_path_and_header(self, capsys, tmp_path):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(tensor3.MAGIC + b"\x04" * 10)
+        code, _, err = run_cli(["diagnose", "--input", str(path),
+                                "--transform", "dct"], capsys)
+        assert code == 2
+        assert str(path) in err and "header" in err
+
+    def test_bad_rom_seed_exits_2_naming_spec(self, capsys, tmp_path):
+        x = tensor3.Tensor3(np.ones((3, 3, 2)))
+        tensor3.write_tensor(x, tmp_path / "x.bin")
+        code, _, err = run_cli(["diagnose", "--input", str(tmp_path / "x.bin"),
+                                "--transform", "rom:x"], capsys)
+        assert code == 2
+        assert "'rom:x'" in err and "rom:<seed>" in err
+
+    def test_nan_tolerance_exits_2_naming_field(self, capsys, tmp_path):
+        x = tensor3.Tensor3(np.ones((3, 3, 2)))
+        tensor3.write_tensor(x, tmp_path / "x.bin")
+        code, _, err = run_cli(
+            ["solve", "--input", str(tmp_path / "x.bin"), "--transform", "dct",
+             "--tol", "nan", "--out-lowrank", str(tmp_path / "L.bin"),
+             "--out-sparse", str(tmp_path / "S.bin")],
+            capsys,
+        )
+        assert code == 2
+        assert "tol must be finite" in err
+
     def test_version_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

@@ -13,6 +13,7 @@ from trpca import (
     spectral_norm,
     tsvt,
 )
+from trpca.prox import tsvt_array
 
 from conftest import rand_tensor
 
@@ -150,3 +151,59 @@ class TestTsvt:
     def test_rejects_nonpositive_tau(self, rng):
         with pytest.raises(ValueError, match="positive"):
             tsvt(rand_tensor(rng, 2, 2, 2), -1.0, make_dct(2))
+
+
+def _slices(y: Tensor3, t) -> np.ndarray:
+    return np.moveaxis(t.apply_array(y.data), 2, 0)
+
+
+class TestWarmTsvt:
+    def test_basis_orthogonal_to_top_directions_falls_back_to_exact(self, rng):
+        # the basis sees only singular directions 4..6, while every value of
+        # every slice is above tau: the guard must catch it
+        t = make_dct(4)
+        y = rand_tensor(rng, 12, 12, 4)
+        _, s, vh = np.linalg.svd(_slices(y, t))
+        basis = np.swapaxes(vh[:, 3:6, :], 1, 2)
+        tau = 0.5 * float(s.min())
+        out, tnn, next_basis, exact = tsvt_array(y.data, tau, t, basis)
+        oracle = slice_svt_oracle(y, tau, t)
+        assert exact
+        assert norm(Tensor3(out) - oracle) / norm(oracle) < 1e-10
+        assert tnn == pytest.approx(nuclear_norm(oracle, t), rel=1e-10)
+        assert next_basis is None  # all 12 values survive
+
+    def test_basis_spanning_the_survivors_is_exact(self, rng):
+        t = make_scaled_hadamard(4)
+        y = rand_tensor(rng, 14, 12, 4)
+        _, s, vh = np.linalg.svd(_slices(y, t))
+        basis = np.swapaxes(vh[:, :5, :], 1, 2)
+        tau = 0.5 * float(s[:, 1].min() + s[:, 4].max())
+        assert tau > s[:, 4].max()
+        out, tnn, next_basis, exact = tsvt_array(y.data, tau, t, basis)
+        oracle = slice_svt_oracle(y, tau, t)
+        assert not exact
+        assert norm(Tensor3(out) - oracle) / norm(oracle) < 1e-10
+        assert tnn == pytest.approx(nuclear_norm(oracle, t), rel=1e-10)
+
+    def test_no_basis_once_it_would_reach_half_the_slice(self, rng):
+        t = make_dct(3)
+        y = rand_tensor(rng, 20, 20, 3)
+        s = np.linalg.svd(_slices(y, t), compute_uv=False)
+        for kept, carried in ((1, True), (2, False)):  # 1 + 8 < 10 <= 2 + 8
+            tau = float(s[:, kept].max()) * 1.0000001
+            _, _, next_basis, _ = tsvt_array(y.data, tau, t)
+            assert (next_basis is not None) == carried
+
+    def test_next_basis_carries_survivors_plus_extra(self, rng):
+        from trpca.prox import WARM_EXTRA
+
+        t = make_dct(4)
+        y = rand_tensor(rng, 30, 30, 4)
+        s = np.linalg.svd(_slices(y, t), compute_uv=False)
+        tau = float(s[:, 2].max()) * 1.0000001  # at most two values survive
+        _, _, next_basis, _ = tsvt_array(y.data, tau, t)
+        k = int(np.count_nonzero((s > tau).any(axis=0)))
+        assert next_basis.shape == (4, 30, k + WARM_EXTRA)
+        gram = np.swapaxes(next_basis, 1, 2) @ next_basis
+        assert np.abs(gram - np.eye(k + WARM_EXTRA)).max() < 1e-12

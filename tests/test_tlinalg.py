@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trpca import (
     Tensor3,
@@ -233,6 +235,17 @@ class TestRanksAndNorms:
         t = make_dct(6)
         p, q = rand_tensor(rng, 8, 3, 6), rand_tensor(rng, 8, 3, 6)
         assert tubal_rank(tprod(p, ttranspose(q), t), t) == 3
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_tubal_rank_at_extreme_magnitudes(self, scale, seed):
+        # squaring values near 1e160 overflows and near 1e-200 underflows
+        t = make_dct(8)
+        track = np.random.default_rng(seed)
+        p, q = rand_tensor(track, 10, 3, 8), rand_tensor(track, 10, 3, 8)
+        a = tprod(p, ttranspose(q), t)
+        assert tubal_rank(Tensor3(a.data * scale), t) == 3
 
     def test_tubal_rank_identity(self):
         t = make_scaled_hadamard(4)
