@@ -50,6 +50,9 @@ def main():
         print(f"\n{label} (rows: rank ratio, cols: sparsity ratio) -> {out}")
         with np.printoptions(precision=2, suppress=True):
             print(grids[label].success)
+        print(f"certified failures: {int(grids[label].certified.sum())}, "
+              f"of which {grids[label].certified_disagreements} had "
+              f"rel_err_low_rank <= {synth.SUCCESS_REL_ERR:g}")
 
     diff = int(np.sum(grids["dct"].success != grids["rom"].success))
     print(f"\ncells differing between transforms: {diff}/{grids['dct'].success.size}")

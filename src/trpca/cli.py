@@ -63,16 +63,26 @@ def _write_manifest(manifest: RunManifest, primary_output: str | None) -> None:
     path.write_text(json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
 
 
-def _env_default(flag: str):
-    return os.environ.get(ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper())
-
-
 def _add(parser, flag: str, *, required: bool = False, default=None, type=str, **kw):
     """add_argument with the TRPCA_* environment override applied."""
-    env = _env_default(flag)
+    name = ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
+    env = os.environ.get(name)
     if env is not None:
-        default, required = type(env), False
+        try:
+            default, required = type(env), False
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise _UsageError(f"{name}={env!r}: {exc}") from None
     parser.add_argument(flag, required=required, default=default, type=type, **kw)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -91,7 +101,7 @@ def _limit_threads(k: int | None):
 
 def _add_common(parser) -> None:
     _add(parser, "--seed", type=int, default=0, help="root seed (default 0)")
-    _add(parser, "--threads", type=int, default=None,
+    _add(parser, "--threads", type=_positive_int, default=None,
          help="cap BLAS-level parallelism (1 = reference mode)")
 
 
@@ -198,11 +208,12 @@ def _cmd_synth_recover(args) -> str | None:
     )
     rep = synth.run_recovery_trial(cfg)
     header = ("n,r,m,rank_est,sparse_support,rel_err_low_rank,rel_err_sparse,"
-              "success,iterations")
+              "success,iterations,certified_failure")
     row = (
         f"{args.n},{args.r},{args.m},{rep.rank_est},{rep.sparse_support},"
         f"{_fmt(rep.rel_err_low_rank)},{_fmt(rep.rel_err_sparse)},"
-        f"{str(rep.success).lower()},{rep.iterations}"
+        f"{str(rep.success).lower()},{rep.iterations},"
+        f"{str(rep.certified_failure).lower()}"
     )
     print(header)
     print(row)
@@ -242,6 +253,10 @@ def _cmd_phase_grid(args) -> str:
                     + ",".join(_fmt(v) for v in grid.success[i]) + "\n")
     print(f"phase-grid: wrote {len(grid.rank_ratios)}x{len(grid.sparsity_ratios)} "
           f"grid to {args.out}")
+    print(f"phase-grid: {int(grid.certified.sum())} of "
+          f"{grid.success.size * grid.trials_per_cell} trials were certified "
+          f"failures; {grid.certified_disagreements} of them had "
+          f"rel_err_low_rank <= {synth.SUCCESS_REL_ERR:g}")
     return args.out
 
 
@@ -298,12 +313,14 @@ _COMMANDS = {
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    parser = None
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"trpca: error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        if parser is not None:
+            parser.print_usage(sys.stderr)
         return 1
     start = time.perf_counter()
     try:

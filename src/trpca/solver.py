@@ -20,6 +20,10 @@ from .transform import Transform
 ZERO_INPUT_MU0 = 1e-3
 """Starting penalty for an all-zero input, which has no spectral scale."""
 
+FLOOR_MARGIN = 1e-6
+"""Relative margin below ``floor`` that a feasible objective must reach
+before ``solve`` stops on it; it absorbs the round-off of both values."""
+
 
 class NonFiniteIterateError(RuntimeError):
     """An ADMM iterate went non-finite; carries the iteration index."""
@@ -84,6 +88,7 @@ class TrpcaSolution:
     iterations: int
     converged: bool
     trace: list[TraceRow] = field(repr=False)
+    certified_failure: bool = False
 
 
 def default_lambda(n1: int, n2: int, t: Transform) -> float:
@@ -93,7 +98,12 @@ def default_lambda(n1: int, n2: int, t: Transform) -> float:
     return 1.0 / math.sqrt(max(n1, n2) * t.ell)
 
 
-def solve(x: Tensor3, t: Transform, cfg: SolverConfig | None = None) -> TrpcaSolution:
+def solve(
+    x: Tensor3,
+    t: Transform,
+    cfg: SolverConfig | None = None,
+    floor: float | None = None,
+) -> TrpcaSolution:
     """Recover the low-tubal-rank and sparse parts of ``x``.
 
     Starting from zero tensors, each iteration runs
@@ -114,6 +124,16 @@ def solve(x: Tensor3, t: Transform, cfg: SolverConfig | None = None) -> TrpcaSol
     checks it. If the two differ by more than ``cfg.tol``, the exact call's
     subspace replaces the basis and the iteration goes on, so
     ``converged=True`` always marks a fixed point of the exact iteration.
+
+    ``floor`` is an optional upper bound on the optimal value, such as the
+    objective of a known feasible pair. With it, each iteration also scores
+    the feasible pair ``(low_rank, x - low_rank)``: its objective is
+    ``nuclear_norm(low_rank) + lam*||x - low_rank||_1``. When that drops
+    below ``(1 - FLOOR_MARGIN) * floor`` (``FLOOR_MARGIN = 1e-6``), no
+    minimizer attains ``floor``, and ``solve`` stops at that iterate with
+    ``converged=False`` and ``certified_failure=True``. The test only reads
+    the iterates, so a run it never stops is bit for bit the run without a
+    floor. Without ``floor`` the extra sum is not computed.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -133,6 +153,7 @@ def solve(x: Tensor3, t: Transform, cfg: SolverConfig | None = None) -> TrpcaSol
     basis = None
     trace: list[TraceRow] = []
     converged = False
+    certified_failure = False
     iteration = 0
 
     for iteration in range(1, cfg.max_iters + 1):
@@ -153,6 +174,11 @@ def solve(x: Tensor3, t: Transform, cfg: SolverConfig | None = None) -> TrpcaSol
         trace.append(TraceRow(iteration, primal, dl, ds, mu, objective))
 
         low, sparse = low_new, sparse_new
+        if floor is not None:
+            feasible = tnn + lam * float(np.abs(data - low_new).sum())
+            if feasible < (1.0 - FLOOR_MARGIN) * floor:
+                certified_failure = True
+                break
         if max(primal, dl, ds) <= cfg.tol:
             if exact:
                 converged = True
@@ -169,4 +195,5 @@ def solve(x: Tensor3, t: Transform, cfg: SolverConfig | None = None) -> TrpcaSol
         iterations=iteration,
         converged=converged,
         trace=trace,
+        certified_failure=certified_failure,
     )

@@ -9,9 +9,9 @@ import numpy as np
 
 from . import transform as transform_mod
 from .seeding import derive_seed
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, default_lambda, solve
 from .tensor3 import Tensor3, from_flat, norm, to_flat, zeros
-from .tlinalg import tprod, ttranspose, tubal_rank
+from .tlinalg import nuclear_norm, tprod, ttranspose, tubal_rank
 from .transform import Transform
 
 SUCCESS_REL_ERR = 1e-3
@@ -54,16 +54,25 @@ class RecoveryTrialReport:
     iterations: int
     converged: bool
     wall_seconds: float
+    certified_failure: bool = False
 
 
 @dataclass
 class PhaseGrid:
-    """Success fractions over a (rank ratio, sparsity ratio) grid."""
+    """Success fractions over a (rank ratio, sparsity ratio) grid.
+
+    ``certified`` counts, per cell, the trials whose solve stopped on a
+    certificate of failure (see ``run_recovery_trial``).
+    ``certified_disagreements`` counts the certified trials whose error
+    still met ``SUCCESS_REL_ERR``, where the two rules disagree.
+    """
 
     rank_ratios: tuple[float, ...]
     sparsity_ratios: tuple[float, ...]
     trials_per_cell: int
     success: np.ndarray  # shape (len(rank_ratios), len(sparsity_ratios))
+    certified: np.ndarray | None = None  # same shape, trial counts
+    certified_disagreements: int = 0
 
     def __post_init__(self):
         self.success = np.asarray(self.success, dtype=np.float64)
@@ -74,6 +83,13 @@ class PhaseGrid:
             )
         if ((self.success < 0) | (self.success > 1)).any():
             raise ValueError("success fractions must lie in [0, 1]")
+        if self.certified is None:
+            self.certified = np.zeros(expected, dtype=np.int64)
+        self.certified = np.asarray(self.certified, dtype=np.int64)
+        if self.certified.shape != expected:
+            raise ValueError(
+                f"certified matrix shape {self.certified.shape} != {expected}"
+            )
 
 
 def gen_low_rank(
@@ -138,7 +154,17 @@ def sparse_support_size(t: Tensor3, tol: float = SUPPORT_TOL) -> int:
 def run_recovery_trial(
     cfg: RecoveryTrialConfig, solver_cfg: SolverConfig | None = None
 ) -> RecoveryTrialReport:
-    """Generate a low-rank + sparse instance, solve it, and score recovery."""
+    """Generate a low-rank + sparse instance, solve it, and score recovery.
+
+    The truth's objective ``f0 = nuclear_norm(low0) + lam*||sparse0||_1``
+    (``lam`` as ``solve`` resolves it) is passed to ``solve`` as its
+    ``floor``. A feasible iterate whose objective falls below
+    ``(1 - 1e-6) * f0`` proves that the truth is not a minimizer, so the
+    solve stops there and the trial fails with ``certified_failure=True``;
+    its error, rank and iteration count are those of the stopped iterate.
+    Otherwise a trial succeeds when its relative low-rank error is at most
+    ``SUCCESS_REL_ERR``.
+    """
     t = transform_mod.from_spec(cfg.transform_spec, cfg.n3)
     low0 = gen_low_rank(
         cfg.n1, cfg.n2, cfg.n3, cfg.r, t, seed=derive_seed(cfg.seed, "low-rank")
@@ -153,9 +179,15 @@ def run_recovery_trial(
         seed=derive_seed(cfg.seed, "sparse"),
     )
     x = low0 + sparse0
+    lam = (
+        solver_cfg.lam
+        if solver_cfg is not None and solver_cfg.lam is not None
+        else default_lambda(cfg.n1, cfg.n2, t)
+    )
+    f0 = nuclear_norm(low0, t) + lam * norm(sparse0, "l1")
 
     start = time.perf_counter()
-    sol = solve(x, t, solver_cfg)
+    sol = solve(x, t, solver_cfg, floor=f0)
     wall = time.perf_counter() - start
 
     low_scale = norm(low0, "frobenius")
@@ -176,10 +208,11 @@ def run_recovery_trial(
         sparse_support=sparse_support_size(sol.sparse),
         rel_err_low_rank=rel_low,
         rel_err_sparse=rel_sparse,
-        success=rel_low <= SUCCESS_REL_ERR,
+        success=not sol.certified_failure and rel_low <= SUCCESS_REL_ERR,
         iterations=sol.iterations,
         converged=sol.converged,
         wall_seconds=wall,
+        certified_failure=sol.certified_failure,
     )
 
 
@@ -208,6 +241,8 @@ def run_phase_grid(
 
     total = base.n1 * base.n2 * base.n3
     success = np.zeros((len(rank_ratios), len(sparsity_ratios)))
+    certified = np.zeros(success.shape, dtype=np.int64)
+    disagreements = 0
     for i, rho_r in enumerate(rank_ratios):
         r = max(1, round(rho_r * min(base.n1, base.n2)))
         for j, rho_s in enumerate(sparsity_ratios):
@@ -226,12 +261,17 @@ def run_phase_grid(
                         base.seed, "phase-grid", f"{rho_r:.6g}", f"{rho_s:.6g}", trial
                     ),
                 )
-                if run_recovery_trial(cfg, solver_cfg).success:
-                    hits += 1
+                rep = run_recovery_trial(cfg, solver_cfg)
+                hits += rep.success
+                if rep.certified_failure:
+                    certified[i, j] += 1
+                    disagreements += rep.rel_err_low_rank <= SUCCESS_REL_ERR
             success[i, j] = hits / trials_per_cell
     return PhaseGrid(
         rank_ratios=rank_ratios,
         sparsity_ratios=sparsity_ratios,
         trials_per_cell=trials_per_cell,
         success=success,
+        certified=certified,
+        certified_disagreements=disagreements,
     )

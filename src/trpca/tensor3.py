@@ -23,6 +23,11 @@ MAGIC = b"TNSR3v1\n"
 
 NormKind = str  # "frobenius" | "l1" | "linf"
 
+FROBENIUS_SAFE_RANGE = (1e-150, 1e150)
+"""A Frobenius norm computed directly is trusted inside this range. Outside
+it the squares may have under- or overflowed, and ``norm`` recomputes it
+scaled by the largest entry."""
+
 
 @dataclass(frozen=True, eq=False)
 class Tensor3:
@@ -125,7 +130,14 @@ def inner(a: Tensor3, b: Tensor3) -> float:
 def norm(t: Tensor3, kind: NormKind = "frobenius") -> float:
     """Tensor norm: ``frobenius`` (root sum of squares), ``l1``, or ``linf``."""
     if kind == "frobenius":
-        return float(np.linalg.norm(t.data.ravel()))
+        flat = t.data.ravel()
+        with np.errstate(over="ignore"):
+            value = float(np.linalg.norm(flat))
+        low, high = FROBENIUS_SAFE_RANGE
+        if low <= value <= high:
+            return value
+        peak = float(np.abs(flat).max())
+        return peak * float(np.linalg.norm(flat / peak)) if peak > 0 else 0.0
     if kind == "l1":
         return float(np.abs(t.data).sum())
     if kind == "linf":

@@ -26,7 +26,9 @@ class TestDispatch:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,r,m,rank_est")
+        assert lines[0].endswith(",success,iterations,certified_failure")
         assert lines[1].startswith("16,2,128,")
+        assert lines[1].split(",")[-1] in ("true", "false")
 
     def test_missing_required_flag_exits_1(self, capsys):
         code, _, err = run_cli(
@@ -36,6 +38,16 @@ class TestDispatch:
         )
         assert code == 1
         assert "--n3" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_1(self, capsys, threads):
+        code, _, err = run_cli(
+            ["diagnose", "--input", "x.bin", "--transform", "dct",
+             "--threads", threads],
+            capsys,
+        )
+        assert code == 1
+        assert "--threads" in err and f"must be >= 1, got {threads}" in err
 
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run_cli(["diagnose", "--frobnicate"], capsys)
@@ -162,7 +174,7 @@ class TestSolveCommand:
 class TestPhaseGridCommand:
     def test_grid_csv_shape(self, capsys, tmp_path):
         out_csv = tmp_path / "grid.csv"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             ["phase-grid", "--n", "12", "--n3", "6",
              "--rank-ratios", "0.05,0.3", "--sparsity-ratios", "0.05,0.3",
              "--trials", "1", "--transform", "dct", "--seed", "3",
@@ -174,6 +186,8 @@ class TestPhaseGridCommand:
         assert len(lines) == 3  # header + 2 rank rows
         assert len(lines[1].split(",")) == 3  # label + 2 sparsity columns
         assert (tmp_path / "grid.csv.manifest.json").exists()
+        assert "trials were certified failures" in out
+        assert "had rel_err_low_rank <= 0.001" in out
 
     def test_ratio_range_parsing(self):
         assert _parse_ratios("0.05:0.1:0.45") == pytest.approx(
@@ -230,6 +244,23 @@ class TestEnvOverrides:
         )
         assert code == 0
         assert out.splitlines()[1].startswith("12,1,50,")
+
+    @pytest.mark.parametrize(
+        "name, value", [("TRPCA_N", "abc"), ("TRPCA_THREADS", "0")]
+    )
+    def test_bad_env_value_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, name, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(name, value)
+        code, _, err = run_cli(
+            ["phase-grid", "--n", "12", "--n3", "6", "--rank-ratios", "0.1",
+             "--sparsity-ratios", "0.1", "--transform", "dct", "--out", "g.csv"],
+            capsys,
+        )
+        assert code == 1
+        assert f"{name}={value!r}" in err
+        assert "Traceback" not in err
 
 
 class TestConsoleScript:

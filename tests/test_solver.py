@@ -200,6 +200,20 @@ class TestSolve:
         assert not sol.converged
         assert sol.iterations == 3
 
+    def test_zero_floor_is_bit_identical(self, rng):
+        # no objective is negative, so a zero floor never stops the solve:
+        # the floor test only reads the iterates
+        t = make_dct(5)
+        x = synth.gen_low_rank(12, 12, 5, 2, t, seed=5) + synth.gen_sparse(
+            12, 12, 5, 40, seed=6
+        )
+        floored, plain = solve(x, t, floor=0.0), solve(x, t)
+        assert not floored.certified_failure and floored.converged
+        assert floored.iterations == plain.iterations
+        assert floored.trace == plain.trace
+        assert (floored.low_rank.data == plain.low_rank.data).all()
+        assert (floored.sparse.data == plain.sparse.data).all()
+
     def test_n3_mismatch(self, rng):
         with pytest.raises(ValueError, match="n3"):
             solve(rand_tensor(rng, 4, 4, 3), make_dct(2))

@@ -1,9 +1,37 @@
 import numpy as np
 import pytest
 
-from trpca import make_dct, norm, tubal_rank, zeros
+from trpca import default_lambda, make_dct, norm, nuclear_norm, solve, tubal_rank, zeros
 from trpca import synth, tensor3
+from trpca import transform as transform_mod
+from trpca.seeding import derive_seed
 from trpca.synth import PhaseGrid, RecoveryTrialConfig
+
+
+def criterion7_trial(rank_ratio, sparsity_ratio, spec="dct", trial=0, root=2024):
+    """The config ``run_phase_grid`` builds for one trial of criterion 7's grid."""
+    n, n3 = 30, 15
+    return RecoveryTrialConfig(
+        n1=n, n2=n, n3=n3, r=max(1, round(rank_ratio * n)),
+        m=round(sparsity_ratio * n * n * n3), transform_spec=spec,
+        seed=derive_seed(
+            root, "phase-grid", f"{rank_ratio:.6g}", f"{sparsity_ratio:.6g}", trial
+        ),
+    )
+
+
+def trial_instance(cfg):
+    """The input and the truth's objective ``f0`` of ``run_recovery_trial``."""
+    t = transform_mod.from_spec(cfg.transform_spec, cfg.n3)
+    low0 = synth.gen_low_rank(
+        cfg.n1, cfg.n2, cfg.n3, cfg.r, t, seed=derive_seed(cfg.seed, "low-rank")
+    )
+    sparse0 = synth.gen_sparse(
+        cfg.n1, cfg.n2, cfg.n3, cfg.m, low_rank_ref=low0,
+        seed=derive_seed(cfg.seed, "sparse"),
+    )
+    lam = default_lambda(cfg.n1, cfg.n2, t)
+    return low0 + sparse0, t, nuclear_norm(low0, t) + lam * norm(sparse0, "l1")
 
 
 class TestGenLowRank:
@@ -125,22 +153,59 @@ class TestRecoveryTrial:
         assert not rep.success
 
 
+class TestCertifiedStop:
+    """A feasible iterate below the truth's objective ends a trial as failed."""
+
+    def test_failing_trial_is_certified_early(self):
+        rep = synth.run_recovery_trial(criterion7_trial(0.15, 0.25))
+        assert rep.certified_failure
+        assert not rep.success and not rep.converged
+        assert rep.iterations <= 60
+        assert rep.rel_err_low_rank > synth.SUCCESS_REL_ERR
+
+    def test_certificate_is_a_proof(self):
+        # recomputed from the stopped iterate alone: the feasible pair
+        # (L, x - L) beats the truth, so the truth is not a minimizer
+        x, t, f0 = trial_instance(criterion7_trial(0.15, 0.25))
+        sol = solve(x, t, floor=f0)
+        assert sol.certified_failure and not sol.converged
+        lam = default_lambda(x.n1, x.n2, t)
+        feasible = nuclear_norm(sol.low_rank, t) + lam * norm(x - sol.low_rank, "l1")
+        assert feasible < (1.0 - 1e-6) * f0
+
+    def test_success_is_not_certified_and_unchanged(self):
+        cfg = criterion7_trial(0.05, 0.05)
+        x, t, f0 = trial_instance(cfg)
+        floored, plain = solve(x, t, floor=f0), solve(x, t)
+        assert not floored.certified_failure and floored.converged
+        assert floored.iterations == plain.iterations
+        assert (floored.low_rank.data == plain.low_rank.data).all()
+        assert (floored.sparse.data == plain.sparse.data).all()
+        rep = synth.run_recovery_trial(cfg)
+        assert rep.success and not rep.certified_failure
+
+
 class TestPhaseGrid:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="shape"):
             PhaseGrid((0.1,), (0.1, 0.2), 3, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="fractions"):
             PhaseGrid((0.1,), (0.1,), 3, np.array([[1.5]]))
+        with pytest.raises(ValueError, match="certified matrix shape"):
+            PhaseGrid((0.1,), (0.1,), 3, np.zeros((1, 1)), np.zeros((2, 1)))
 
     def test_deep_inside_cell_succeeds(self):
         base = RecoveryTrialConfig(n1=30, n2=30, n3=15, r=1, m=0, seed=13)
         grid = synth.run_phase_grid(base, [0.05], [0.05], trials_per_cell=3)
         assert grid.success[0, 0] == 1.0
+        assert grid.certified[0, 0] == 0
 
     def test_deep_outside_cell_fails(self):
         base = RecoveryTrialConfig(n1=30, n2=30, n3=15, r=1, m=0, seed=13)
         grid = synth.run_phase_grid(base, [0.45], [0.45], trials_per_cell=3)
         assert grid.success[0, 0] == 0.0
+        assert grid.certified[0, 0] == 3
+        assert grid.certified_disagreements == 0
 
     def test_rejects_bad_ratios(self):
         base = RecoveryTrialConfig(n1=10, n2=10, n3=5, r=1, m=0, seed=0)

@@ -138,6 +138,13 @@ class TestNorms:
         with pytest.raises(ValueError, match="kind"):
             norm(zeros(1, 1, 1), "l2")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+    def test_frobenius_at_extreme_magnitudes(self, c):
+        # the squares of these entries under- or overflow a float64
+        t = Tensor3(np.ones((3, 3, 2)) * c)
+        assert norm(t) == pytest.approx(c * np.sqrt(18.0), rel=1e-15)
+
     @settings(max_examples=30, deadline=None)
     @given(small_tensors())
     def test_triangle_inequality(self, a):
