@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, imaging, synth, tensor3
 from . import transform as transform_mod
 from .seeding import derive_seed
-from .solver import SolverConfig, default_lambda, solve
+from .solver import SolverConfig, solve
 from .tensor3 import load_tensor, write_tensor
 from .tlinalg import incoherence, nuclear_norm, spectral_norm, tubal_rank
 
@@ -181,7 +181,7 @@ def _cmd_solve(args) -> str:
     t = transform_mod.from_spec(args.transform, x.n3)
     cfg = _solver_config(args)
     # materialize resolved defaults so the manifest reproduces this run exactly
-    args.lam = cfg.lam if cfg.lam is not None else default_lambda(x.n1, x.n2, t)
+    args.lam = cfg.lam_for(x.n1, x.n2, t)
     args.tol, args.max_iters = cfg.tol, cfg.max_iters
     sol = solve(x, t, cfg)
     write_tensor(sol.low_rank, args.out_lowrank)

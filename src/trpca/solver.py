@@ -68,6 +68,10 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
+    def lam_for(self, n1: int, n2: int, t: Transform) -> float:
+        """The sparsity weight a solve of an ``n1 x n2 x n3`` tensor uses."""
+        return self.lam if self.lam is not None else default_lambda(n1, n2, t)
+
 
 @dataclass
 class TraceRow:
@@ -139,7 +143,7 @@ def solve(
         cfg = SolverConfig()
     if x.n3 != t.size:
         raise ValueError(f"tensor n3={x.n3} does not match transform size {t.size}")
-    lam = cfg.lam if cfg.lam is not None else default_lambda(x.n1, x.n2, t)
+    lam = cfg.lam_for(x.n1, x.n2, t)
     if cfg.mu0 is not None:
         mu = cfg.mu0
     else:

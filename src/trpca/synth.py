@@ -9,7 +9,7 @@ import numpy as np
 
 from . import transform as transform_mod
 from .seeding import derive_seed
-from .solver import SolverConfig, default_lambda, solve
+from .solver import SolverConfig, solve
 from .tensor3 import Tensor3, from_flat, norm, to_flat, zeros
 from .tlinalg import nuclear_norm, tprod, ttranspose, tubal_rank
 from .transform import Transform
@@ -179,11 +179,7 @@ def run_recovery_trial(
         seed=derive_seed(cfg.seed, "sparse"),
     )
     x = low0 + sparse0
-    lam = (
-        solver_cfg.lam
-        if solver_cfg is not None and solver_cfg.lam is not None
-        else default_lambda(cfg.n1, cfg.n2, t)
-    )
+    lam = (solver_cfg or SolverConfig()).lam_for(cfg.n1, cfg.n2, t)
     f0 = nuclear_norm(low0, t) + lam * norm(sparse0, "l1")
 
     start = time.perf_counter()
