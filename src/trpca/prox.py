@@ -5,6 +5,10 @@ transform-domain singular values themselves. The ``1/ell`` factor of the
 nuclear norm multiplies the whole slice-wise objective and cancels, so the
 per-slice threshold is ``tau`` for every ``ell`` (the most error-prone
 constant in this package; the perturbation tests exist to pin it).
+
+T-SVT goes to the transform domain and back through ``Transform.to_slices``
+and ``Transform.from_slices`` and runs every SVD, full or warm-projected,
+through ``tlinalg.slice_svd``: the one slice path of the package.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor3 import Tensor3
+from .tlinalg import slice_svd
 from .transform import Transform
 
 WARM_EXTRA = 8
@@ -46,8 +51,6 @@ def tsvt(y: Tensor3, tau: float, t: Transform) -> Tensor3:
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if y.n3 != t.size:
-        raise ValueError(f"tensor n3={y.n3} does not match transform size {t.size}")
     out, _, _, _ = tsvt_array(y.data, tau, t)
     return Tensor3(out)
 
@@ -75,16 +78,16 @@ def tsvt_array(
     when that would be ``min(n1, n2)//2`` columns or more, where the full SVD
     is the cheaper choice.
     """
-    bar = np.moveaxis(t.apply_array(y), 2, 0)
+    bar = t.to_slices(y)
     q = None
     if basis is not None:
         q, _ = np.linalg.qr(bar @ basis)
-        u, s, vh = np.linalg.svd(np.swapaxes(q, 1, 2) @ bar, full_matrices=False)
+        u, s, vh = slice_svd(np.swapaxes(q, 1, 2) @ bar)
         if (s[:, -1] > tau).any():
             q = None
     exact = q is None
     if exact:
-        u, s, vh = np.linalg.svd(bar, full_matrices=False)
+        u, s, vh = slice_svd(bar)
     del bar
     s_shrunk = np.maximum(s - tau, 0.0)
     # skinny reconstruction: columns past the largest surviving value are dead
@@ -96,5 +99,5 @@ def tsvt_array(
         return np.zeros_like(y), 0.0, next_basis, exact
     u = u[:, :, :k] if exact else q @ u[:, :, :k]
     out_bar = (u * s_shrunk[:, None, :k]) @ vh[:, :k, :]
-    out = t.apply_inverse_array(np.moveaxis(out_bar, 0, 2))
+    out = t.from_slices(out_bar)
     return out, float(s_shrunk.sum()) / t.ell, next_basis, exact

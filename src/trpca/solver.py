@@ -141,8 +141,6 @@ def solve(
     """
     if cfg is None:
         cfg = SolverConfig()
-    if x.n3 != t.size:
-        raise ValueError(f"tensor n3={x.n3} does not match transform size {t.size}")
     lam = cfg.lam_for(x.n1, x.n2, t)
     if cfg.mu0 is not None:
         mu = cfg.mu0

@@ -2,8 +2,12 @@
 
 Every operation here works slice-wise in the transform domain: transform the
 operands along mode 3, act on each frontal slice with ordinary matrix algebra,
-and map back. The block-diagonal matrix whose blocks are the transform-domain
-slices is never materialized outside of test oracles.
+and map back. There is one path for this in the package:
+``Transform.to_slices`` gives the batched ``(n3, n1, n2)`` transform-domain
+slices, ``Transform.from_slices`` maps them back, and :func:`slice_svd` is the
+one place that calls the SVD (``prox`` uses the same three). The
+block-diagonal matrix whose blocks are the transform-domain slices is never
+materialized outside of test oracles.
 """
 
 from __future__ import annotations
@@ -51,15 +55,25 @@ class IncoherenceReport:
     rank: int
 
 
-def _bar(a: Tensor3, t: Transform) -> np.ndarray:
-    """Transform-domain slices as a batched ``(n3, n1, n2)`` array."""
-    if a.n3 != t.size:
-        raise ValueError(f"tensor n3={a.n3} does not match transform size {t.size}")
-    return np.moveaxis(t.apply_array(a.data), 2, 0)
+def slice_svd(slices: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of every slice of a batched ``(n3, n1, n2)`` array.
 
-
-def _unbar(slices: np.ndarray, t: Transform) -> Tensor3:
-    return Tensor3(t.apply_inverse_array(np.moveaxis(slices, 0, 2)))
+    Returns ``(u, s, vh)``, or only ``s`` when ``compute_uv`` is false. This is
+    the one SVD call site of the package. When LAPACK does not converge, the
+    slices are redone one by one to find the first that fails, and the error
+    is raised naming it; nothing falls back to another SVD.
+    """
+    try:
+        return np.linalg.svd(slices, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        for i in range(slices.shape[0]):
+            try:
+                np.linalg.svd(slices[i], full_matrices=False, compute_uv=compute_uv)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"SVD failed on transform-domain slice {i}"
+                ) from exc
+        raise
 
 
 def tprod(a: Tensor3, b: Tensor3, t: Transform) -> Tensor3:
@@ -68,7 +82,7 @@ def tprod(a: Tensor3, b: Tensor3, t: Transform) -> Tensor3:
         raise ValueError(f"inner dimension mismatch: {a.dims} x {b.dims}")
     if a.n3 != b.n3:
         raise ValueError(f"n3 mismatch: {a.dims} x {b.dims}")
-    return _unbar(_bar(a, t) @ _bar(b, t), t)
+    return Tensor3(t.from_slices(t.to_slices(a.data) @ t.to_slices(b.data)))
 
 
 def ttranspose(a: Tensor3, t: Transform | None = None) -> Tensor3:
@@ -84,27 +98,12 @@ def ttranspose(a: Tensor3, t: Transform | None = None) -> Tensor3:
 def identity_tensor(n: int, t: Transform) -> Tensor3:
     """The t-product identity: every transform-domain slice is ``eye(n)``."""
     slices = np.broadcast_to(np.eye(n), (t.size, n, n))
-    return _unbar(np.array(slices), t)
-
-
-def _batched_svd(slices: np.ndarray):
-    """Batched thin SVD with the failing slice index attached on error."""
-    try:
-        return np.linalg.svd(slices, full_matrices=False)
-    except np.linalg.LinAlgError:
-        for i in range(slices.shape[0]):
-            try:
-                np.linalg.svd(slices[i], full_matrices=False)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"SVD failed on transform-domain slice {i}"
-                ) from exc
-        raise
+    return Tensor3(t.from_slices(np.array(slices)))
 
 
 def _singular_values(a: Tensor3, t: Transform) -> np.ndarray:
     """Per-slice singular values of the transform-domain slices, ``(n3, k)``."""
-    return np.linalg.svd(_bar(a, t), compute_uv=False)
+    return slice_svd(t.to_slices(a.data), compute_uv=False)
 
 
 def _rank_from_values(s: np.ndarray, tol: float) -> int:
@@ -128,8 +127,7 @@ def tsvd(a: Tensor3, t: Transform, skinny: bool = True) -> TSvdFactors:
     vector is positive; skinny factors are truncated to the tubal rank
     (clamped to 1 so the factor tensors stay nonempty).
     """
-    bar = _bar(a, t)
-    u, s, vh = _batched_svd(bar)
+    u, s, vh = slice_svd(t.to_slices(a.data))
     # sign canonicalization: flip column pairs so each u column's peak entry > 0
     peak = np.take_along_axis(
         u, np.abs(u).argmax(axis=1, keepdims=True), axis=1
@@ -145,9 +143,9 @@ def tsvd(a: Tensor3, t: Transform, skinny: bool = True) -> TSvdFactors:
     step = np.arange(k)
     sbar[:, step, step] = s
     return TSvdFactors(
-        u=_unbar(u, t),
-        s=_unbar(sbar, t),
-        v=_unbar(np.transpose(vh, (0, 2, 1)), t),
+        u=Tensor3(t.from_slices(u)),
+        s=Tensor3(t.from_slices(sbar)),
+        v=Tensor3(t.from_slices(np.transpose(vh, (0, 2, 1)))),
         transform=t,
         skinny=skinny,
     )
@@ -210,7 +208,7 @@ def incoherence(a: Tensor3, t: Transform) -> IncoherenceReport:
     weights = t.matrix**2  # weights[s, k] = L[s, k]^2
 
     def basis_energy(factor: Tensor3, n: int) -> float:
-        fbar = _bar(factor, t)  # (n3, n, r)
+        fbar = t.to_slices(factor.data)  # (n3, n, r)
         row_energy = np.sum(fbar**2, axis=2)  # (n3, n)
         return float((row_energy.T @ weights).max()) / t.ell
 

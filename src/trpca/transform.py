@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 VALIDATE_TOL = 1e-10
 """Relative tolerance (w.r.t. ell) on the scaled-orthogonality residual."""
@@ -58,24 +57,35 @@ class Transform:
     def apply_inverse_array(self, arr: np.ndarray) -> np.ndarray:
         return np.tensordot(arr, self.inverse, axes=(2, 1))
 
+    def to_slices(self, arr: np.ndarray) -> np.ndarray:
+        """Transform-domain frontal slices of a raw ``(n1, n2, n3)`` array,
+        batched as ``(n3, n1, n2)``: slice ``k`` is ``apply_array(arr)[:, :, k]``."""
+        self._check_n3(arr.shape[2])
+        return np.moveaxis(self.apply_array(arr), 2, 0)
+
+    def from_slices(self, slices: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_slices`: batched ``(n3, n1, n2)`` transform-domain
+        slices back to a raw ``(n1, n2, n3)`` array."""
+        return self.apply_inverse_array(np.moveaxis(slices, 0, 2))
+
     def apply(self, a):
         """Transform-domain image of ``a``: every tube is replaced by ``L @ tube``."""
         from .tensor3 import Tensor3
 
-        self._check_n3(a)
+        self._check_n3(a.n3)
         return Tensor3(self.apply_array(a.data))
 
     def apply_inverse(self, a):
         """Inverse transform; ``apply_inverse(apply(a))`` recovers ``a``."""
         from .tensor3 import Tensor3
 
-        self._check_n3(a)
+        self._check_n3(a.n3)
         return Tensor3(self.apply_inverse_array(a.data))
 
-    def _check_n3(self, a) -> None:
-        if a.n3 != self.size:
+    def _check_n3(self, n3: int) -> None:
+        if n3 != self.size:
             raise ValueError(
-                f"tensor n3={a.n3} does not match transform size {self.size}"
+                f"tensor n3={n3} does not match transform size {self.size}"
             )
 
     def __repr__(self) -> str:
@@ -160,10 +170,16 @@ def make_random_orthogonal(n3: int, seed: int) -> Transform:
 
 
 def make_scaled_hadamard(n3: int) -> Transform:
-    """Sylvester-Hadamard +-1 matrix; ell = n3, inverse = L'/n3."""
+    """Sylvester-Hadamard +-1 matrix; ell = n3, inverse = L'/n3.
+
+    Built by doubling, ``H_2m = [[H_m, H_m], [H_m, -H_m]]`` from ``H_1 = [1]``.
+    """
     if n3 < 1 or n3 & (n3 - 1) != 0:
         raise ValueError(f"Hadamard transform needs a power-of-two size, got {n3}")
-    return _build(scipy.linalg.hadamard(n3).astype(np.float64))
+    mat = np.ones((1, 1))
+    while mat.shape[0] < n3:
+        mat = np.block([[mat, mat], [mat, -mat]])
+    return _build(mat)
 
 
 def from_spec(spec: str, n3: int) -> Transform:

@@ -215,8 +215,10 @@ class TestSolve:
         assert (floored.sparse.data == plain.sparse.data).all()
 
     def test_n3_mismatch(self, rng):
-        with pytest.raises(ValueError, match="n3"):
-            solve(rand_tensor(rng, 4, 4, 3), make_dct(2))
+        message = "tensor n3=3 does not match transform size 2"
+        for cfg in (None, SolverConfig(mu0=1.0)):  # data-scaled and fixed mu0
+            with pytest.raises(ValueError, match=message):
+                solve(rand_tensor(rng, 4, 4, 3), make_dct(2), cfg)
 
     def test_non_finite_iterate_reports_iteration(self, rng, monkeypatch):
         from trpca import solver as solver_mod

@@ -18,14 +18,31 @@ from trpca import (
     spectral_norm,
     tprod,
     tsvd,
+    tsvt,
     ttranspose,
     tubal_rank,
     tube_basis,
     zeros,
 )
 from trpca import tlinalg
+from trpca.prox import tsvt_array
 
 from conftest import rand_tensor
+
+
+WARM_BASIS = np.broadcast_to(np.eye(6)[:, :2], (3, 6, 2))
+
+SVD_CALLERS = {
+    "tsvd": tsvd,
+    "incoherence": incoherence,
+    "tubal_rank": tubal_rank,
+    "spectral_norm": spectral_norm,
+    "nuclear_norm": nuclear_norm,
+    "tsvt": lambda a, t: tsvt(a, 0.1, t),
+    "tsvt_array": lambda a, t: tsvt_array(a.data, 0.1, t),
+    "tsvt_array_warm": lambda a, t: tsvt_array(a.data, 0.1, t, WARM_BASIS),
+}
+"""Every public route to an SVD, for the failure test (6x6x3 input)."""
 
 
 def bdiag(a: Tensor3, t) -> np.ndarray:
@@ -214,20 +231,27 @@ class TestTsvd:
         assert (f1.u.data == f2.u.data).all()
         assert (f1.v.data == f2.v.data).all()
 
-    def test_svd_failure_names_the_slice(self, rng, monkeypatch):
-        t = make_identity(3)
-        a = rand_tensor(rng, 3, 3, 3)
-        bad_slice = a.data[:, :, 1]
+    @pytest.mark.parametrize("caller", sorted(SVD_CALLERS))
+    def test_svd_failure_names_the_slice(self, rng, monkeypatch, caller):
+        t = make_dct(3)
+        a = rand_tensor(rng, 6, 6, 3)
         real_svd = np.linalg.svd
+        batches = []
 
         def flaky(arr, *args, **kw):
-            if arr.ndim == 3 or np.array_equal(arr, bad_slice):
+            # the batched call fails, and so does its slice 1 on its own
+            if arr.ndim == 3:
+                batches.append(arr)
+            if arr.ndim == 3 or np.array_equal(arr, batches[0][1]):
                 raise np.linalg.LinAlgError("SVD did not converge")
             return real_svd(arr, *args, **kw)
 
         monkeypatch.setattr(np.linalg, "svd", flaky)
         with pytest.raises(np.linalg.LinAlgError, match="slice 1"):
-            tsvd(a, t)
+            SVD_CALLERS[caller](a, t)
+        assert len(batches) == 1  # raised, not retried through another SVD
+        if caller == "tsvt_array_warm":
+            assert batches[0].shape == (3, 2, 6)  # the projected slices
 
 
 class TestRanksAndNorms:

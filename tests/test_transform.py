@@ -90,6 +90,12 @@ class TestHadamard:
         with pytest.raises(ValueError, match="power-of-two"):
             make_scaled_hadamard(6)
 
+    @pytest.mark.parametrize("n3", [1, 2, 4, 8, 64, 256])
+    def test_matches_scipy_sylvester(self, n3):
+        np.testing.assert_array_equal(
+            make_scaled_hadamard(n3).matrix, scipy.linalg.hadamard(n3)
+        )
+
 
 class TestValidate:
     def test_accepts_identity(self):
@@ -138,8 +144,21 @@ class TestApply:
             assert np.abs(back.data - a.data).max() < 1e-10
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="n3"):
-            make_dct(4).apply(rand_tensor(rng, 3, 3, 5))
+        a = rand_tensor(rng, 3, 3, 5)
+        message = "tensor n3=5 does not match transform size 4"
+        for call in (make_dct(4).apply, lambda a: make_dct(4).to_slices(a.data)):
+            with pytest.raises(ValueError, match=message):
+                call(a)
+
+    def test_slices_are_transform_domain_frontal_slices(self, rng):
+        for t in shipped_transforms(4):
+            a = rand_tensor(rng, 3, 5, 4)
+            slices = t.to_slices(a.data)
+            assert slices.shape == (4, 3, 5)
+            for k in range(4):
+                np.testing.assert_array_equal(slices[k], t.apply(a).data[:, :, k])
+            back = t.from_slices(slices)
+            assert np.abs(back - a.data).max() < 1e-10
 
     def test_linearity(self, rng):
         for t in shipped_transforms(4):
